@@ -20,12 +20,11 @@ fn traced_run_matches_metrics_and_disabled_run_records_nothing() {
         threads: 4,
         ..MtConfig::smoke(4)
     };
-    let sc = build_scheme_on(
-        DeviceProfile::sparse(8).fast(),
-        Scheme::File,
-        5,
-        GcMode::Migrate,
-    );
+    // DRAM tier off: with the default write-back budget this smoke-size
+    // working set never leaves DRAM, so nothing is sealed or evicted and
+    // there would be no events to check.
+    let profile = || DeviceProfile::sparse(8).fast().with_dram_budget(0);
+    let sc = build_scheme_on(profile(), Scheme::File, 5, GcMode::Migrate);
     run_mt(&sc, &cfg);
     assert!(!trace::is_enabled());
     assert!(
@@ -39,12 +38,7 @@ fn traced_run_matches_metrics_and_disabled_run_records_nothing() {
     // cumulative counters (both include warmup).
     trace::enable();
     trace::clear();
-    let sc = build_scheme_on(
-        DeviceProfile::sparse(8).fast(),
-        Scheme::File,
-        5,
-        GcMode::Migrate,
-    );
+    let sc = build_scheme_on(profile(), Scheme::File, 5, GcMode::Migrate);
     run_mt(&sc, &cfg);
     let events = trace::snapshot();
     let dropped = trace::dropped();

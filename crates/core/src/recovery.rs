@@ -411,6 +411,38 @@ mod tests {
         assert!(matches!(err, CacheError::BadSnapshot(ref m) if m.contains("checksum")), "{err}");
     }
 
+    /// Bit-at-a-time CRC32 (reflected 0xEDB88320): the definition the
+    /// snapshot format was written against, independent of `sim`'s tables.
+    fn bitwise_crc32(data: &[u8]) -> u32 {
+        !data.iter().fold(!0u32, |crc, &b| {
+            (0..8).fold(crc ^ b as u32, |c, _| (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg()))
+        })
+    }
+
+    #[test]
+    fn snapshot_checksummed_by_the_bitwise_definition_still_recovers() {
+        // The format guard for the checksum kernel: a blob whose trailer
+        // was produced by the plain definition must verify under whatever
+        // `sim::crc32` is today, and today's trailer must be that value.
+        let be = backend();
+        let cache = LogCache::new(be.clone(), CacheConfig::small_test()).unwrap();
+        let mut t = Nanos::ZERO;
+        for i in 0..50 {
+            t = cache.set(format!("key-{i}").as_bytes(), format!("value-{i}").as_bytes(), t).unwrap();
+        }
+        let (snap, t) = snapshot(&cache, t).unwrap();
+        drop(cache);
+
+        let (body, trailer) = snap.split_at(snap.len() - 4);
+        let mut old_blob = body.to_vec();
+        old_blob.put_u32_le(bitwise_crc32(body));
+        assert_eq!(&old_blob[body.len()..], trailer, "snapshot trailer is no longer zlib CRC32");
+
+        let cache2 = recover(be, CacheConfig::small_test(), &old_blob).unwrap();
+        let (v, _) = cache2.get(b"key-7", t).unwrap();
+        assert_eq!(v.as_deref(), Some(&b"value-7"[..]));
+    }
+
     #[test]
     fn scan_rebuild_serves_flushed_objects_without_snapshot() {
         let be = backend();

@@ -128,7 +128,9 @@ impl MainArea {
     /// Marking the block valid eagerly means the cleaner can never reset
     /// a zone that still has a reservation in flight: the zone only
     /// becomes a victim candidate once Full, and by then the write that
-    /// filled it has completed.
+    /// filled it has completed. The block's *publish* into the file table
+    /// may still be pending at that point; the cleaner waits those out
+    /// before it resets (`FileSystem::clean_one`).
     ///
     /// On device-write failure the caller must roll back with
     /// [`MainArea::unreserve`].

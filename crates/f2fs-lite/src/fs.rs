@@ -7,7 +7,10 @@
 //! [`FileSystem::append_block`]: a per-log append lock serializes the
 //! zone's write pointer, a brief `inner` acquisition reserves the block
 //! (marking it valid so the cleaner cannot reset the zone underneath
-//! it), and the device write happens with `inner` released. Reads
+//! it), and the device write happens with `inner` released. The caller
+//! then publishes the address into the file table under `inner`; until
+//! it has, no file points at the block, so the cleaner can neither move
+//! it nor reset its zone and waits the publish out (`clean_one`). Reads
 //! translate under `inner`, read unlocked, then revalidate the pointer
 //! — block addresses are write-once until their zone is reset, and only
 //! the (serialized) cleaner resets zones, so an unchanged pointer
@@ -572,10 +575,15 @@ impl FileSystem {
         buf: &mut [u8],
         now: Nanos,
     ) -> Result<Nanos, FsError> {
+        let idx = owner.index as usize;
         {
             let inner = self.inner.lock();
-            if !inner.main.is_valid(mba) {
-                return Ok(now); // overwritten/punched since the victim scan
+            let file = inner.files.get(&owner.ino.0);
+            if file.and_then(|f| f.ptrs.get(idx).copied().flatten()) != Some(mba) {
+                // Overwritten/punched since the victim scan, or reserved
+                // and written but not yet published: no copy either way
+                // (`clean_one` waits the second kind out).
+                return Ok(now);
             }
         }
         // Content at `mba` is immutable until its zone resets, and only
@@ -584,7 +592,6 @@ impl FileSystem {
         let (new_mba, t) = self.append_block(LogType::ColdData, buf, owner, t_read)?;
         let mut inner = self.inner.lock();
         let Inner { files, main, stats, dirty_nodes, .. } = &mut *inner;
-        let idx = owner.index as usize;
         let still_live = files
             .get_mut(&owner.ino.0)
             .filter(|f| f.ptrs.get(idx).copied().flatten() == Some(mba));
@@ -611,7 +618,7 @@ impl FileSystem {
     /// blocks than that is not worth cleaning at this urgency and the
     /// pass reports `Ok(None)` instead.
     fn clean_one(&self, max_valid: u64, now: Nanos) -> Result<Option<Nanos>, FsError> {
-        let (victim, live) = {
+        let (victim, mut live) = {
             let inner = self.inner.lock();
             let victim = match inner.main.pick_victim() {
                 Some(z) => z,
@@ -642,37 +649,51 @@ impl FileSystem {
         // afterwards.
         let mut io = sim::aio::IoPool::<FsError>::new().handle();
         let mut buf = vec![0u8; BLOCK_SIZE];
-        for (mba, owner) in live {
-            if owner.is_node {
-                io.submit(now, |t| self.migrate_node(mba, owner, t));
-            } else {
-                io.submit(now, |t| self.migrate_data(mba, owner, &mut buf, t));
-            }
-        }
         let mut done = now;
-        let mut victim_died = false;
-        while let Some(reaped) = io.try_complete() {
-            match reaped {
-                Ok(c) => done = done.max(c.done),
-                Err((_, FsError::DeadZone { .. })) => {
-                    // The victim went offline mid-salvage: its remaining
-                    // blocks are unreadable and stay stranded (reads of
-                    // them keep surfacing DeadZone). Retire it and report
-                    // progress — failing the whole pass would couple an
-                    // unrelated dead zone to foreground writes.
-                    victim_died = true;
+        loop {
+            for (mba, owner) in live {
+                if owner.is_node {
+                    io.submit(done, |t| self.migrate_node(mba, owner, t));
+                } else {
+                    io.submit(done, |t| self.migrate_data(mba, owner, &mut buf, t));
                 }
-                Err((_, e)) => return Err(e),
             }
+            let mut victim_died = false;
+            while let Some(reaped) = io.try_complete() {
+                match reaped {
+                    Ok(c) => done = done.max(c.done),
+                    Err((_, FsError::DeadZone { .. })) => {
+                        // The victim went offline mid-salvage: its remaining
+                        // blocks are unreadable and stay stranded (reads of
+                        // them keep surfacing DeadZone). Retire it and report
+                        // progress — failing the whole pass would couple an
+                        // unrelated dead zone to foreground writes.
+                        victim_died = true;
+                    }
+                    Err((_, e)) => return Err(e),
+                }
+            }
+            if victim_died {
+                self.inner.lock().stats.zones_retired += 1;
+                return Ok(Some(done));
+            }
+            // Every block of the scan was either migrated (old copy
+            // invalidated at publish) or invalidated by a racing
+            // overwrite/punch/remove, and sealed zones never take new
+            // writes. What can still be valid is a block a writer reserved
+            // and wrote — its write is what sealed the zone — but has not
+            // yet published into the file table: the file does not point at
+            // it, so `migrate_data` had to leave it alone, and resetting the
+            // zone now would lose that write. The publish needs only the
+            // table lock, never the cleaner: let it land, then move it.
+            let inner = self.inner.lock();
+            if inner.main.zone_valid(victim) == 0 {
+                break;
+            }
+            live = inner.main.live_blocks(victim);
+            drop(inner);
+            std::thread::yield_now();
         }
-        if victim_died {
-            self.inner.lock().stats.zones_retired += 1;
-            return Ok(Some(done));
-        }
-        // Every live block was either migrated (old copy invalidated at
-        // publish) or invalidated by a racing overwrite/punch/remove, and
-        // sealed zones never take new writes — the victim is fully dead.
-        debug_assert_eq!(self.inner.lock().main.zone_valid(victim), 0);
         match self.dev.reset(victim, done) {
             Ok(t) => {
                 let mut inner = self.inner.lock();
@@ -1387,6 +1408,56 @@ mod tests {
     }
 
     #[test]
+    fn cleaner_waits_out_a_block_that_is_written_but_not_yet_published() {
+        // `pwrite`'s window between `append_block` (block valid and on the
+        // device) and the publish into the file table, held open by hand.
+        // A writer preempted there long enough for its zone to seal and
+        // everything else in it to die used to lose the write: the cleaner
+        // could not move a block no file points at, and reset the zone
+        // under it (debug builds tripped the zone_valid assert instead).
+        let fs = Arc::new(fs());
+        let ino = fs.create("f", Nanos::ZERO).unwrap();
+        let mut t = fs.pwrite(ino, 0, &bytes(1, 1), Nanos::ZERO).unwrap();
+        let owner = Owner { ino, index: 0, is_node: false };
+        let (mba, _) = fs.append_block(LogType::HotData, &bytes(1, 2), owner, t).unwrap();
+        // Seal the zone behind it, then kill everything else in it.
+        for _round in 0..2 {
+            for b in 1..=30u64 {
+                t = fs.pwrite(ino, b * BLOCK_SIZE as u64, &bytes(1, 3), t).unwrap();
+            }
+        }
+        let zone = {
+            let inner = fs.inner.lock();
+            let zone = inner.main.zone_of(mba);
+            assert_eq!(inner.main.pick_victim(), Some(zone));
+            assert_eq!(inner.main.zone_valid(zone), 2, "old block 0 + the unpublished one");
+            zone
+        };
+        std::thread::scope(|s| {
+            let cleaner = s.spawn(|| fs.clean_one(u64::MAX, t));
+            // The cleaner moves old block 0, then must wait for ours.
+            while fs.stats().gc_data_moved == 0 && !cleaner.is_finished() {
+                std::thread::yield_now();
+            }
+            assert_eq!(fs.stats().zones_cleaned, 0, "victim reset under an unpublished write");
+            assert_eq!(fs.inner.lock().main.zone_valid(zone), 1);
+            // Publish, as `pwrite` does.
+            {
+                let mut inner = fs.inner.lock();
+                let Inner { files, main, .. } = &mut *inner;
+                let old = files.get_mut(&ino.0).unwrap().ptrs[0].replace(mba);
+                main.invalidate(old.unwrap());
+            }
+            assert!(cleaner.join().unwrap().unwrap().is_some());
+        });
+        assert_eq!(fs.stats().zones_cleaned, 1);
+        assert_eq!(fs.stats().gc_data_moved, 2, "the late block moves once published");
+        let mut out = bytes(1, 0);
+        fs.pread(ino, 0, &mut out, t).unwrap();
+        assert!(out.iter().all(|&x| x == 2), "the in-flight write was lost");
+    }
+
+    #[test]
     fn concurrent_writers_readers_and_cleaner_stay_consistent() {
         // 4 writers churn disjoint 64-block stripes of one file hard
         // enough to force cleaning, while a background thread runs the
@@ -1458,11 +1529,14 @@ mod tests {
                     }
                 });
             }
-            for h in writers {
-                h.join().unwrap();
-            }
+            // Stop the cleaner loop before surfacing a writer's panic, or
+            // the scope would wait for ever on a thread nobody stops.
+            let joined: Vec<_> = writers.into_iter().map(|h| h.join()).collect();
             // relaxed-ok: test stop flag; no payload rides on it.
             stop.store(true, std::sync::atomic::Ordering::Relaxed);
+            for r in joined {
+                r.unwrap();
+            }
         });
         let s = fs.stats();
         assert!(s.zones_cleaned > 0, "churn never triggered cleaning: {s:?}");

@@ -271,8 +271,10 @@ mod tests {
             map: Mutex::new(Default::default()),
             inserts: Counter::new(),
         });
-        // Tiny DRAM: 1 block at a time (block value is 8 bytes).
-        let c = BlockCache::new(8, Some(secondary.clone()));
+        // Tiny DRAM: exactly one entry at a time. The tier charges an
+        // entry its 8-byte hash key plus its 8-byte block, and admits
+        // (so demotes) nothing that does not fit.
+        let c = BlockCache::new(8 + 8, Some(secondary.clone()));
         c.get_block(1, 0, Nanos::ZERO, fetch_const(b"11111111")).unwrap();
         c.get_block(1, 1, Nanos::ZERO, fetch_const(b"22222222")).unwrap();
         assert!(secondary.inserts.get() >= 1, "no demotion happened");

@@ -27,9 +27,9 @@ use crate::wire::{
 pub struct ServerConfig {
     /// Shard command loops (executor threads into the engine).
     pub shards: usize,
-    /// Bounded depth of each shard's command queue. A full queue sheds
-    /// with a typed BUSY — the backpressure bound that keeps p99 finite
-    /// past the knee.
+    /// Bounded depth of each shard's command queue: jobs accepted and
+    /// not yet run. A full queue sheds with a typed BUSY — the
+    /// backpressure bound that keeps p99 finite past the knee.
     pub queue_capacity: usize,
     /// Fraction of `queue_capacity` above which SETs additionally pass
     /// `set_admission_under_pressure` before queueing (GETs keep full
@@ -306,6 +306,13 @@ struct ReadBuf {
     end: usize,
 }
 
+/// A connection whose reads filled the buffer this many times in a row
+/// is at least this many [`READ_CHUNK`]s behind its client: past a burst,
+/// into sustained overload (a 10 ms host stall at the benchmark's
+/// 64k requests/s makes three such reads; an offered rate past capacity
+/// makes hundreds).
+const BEHIND_READS: usize = 8;
+
 /// Spare room guaranteed before each read syscall — also the growth
 /// step, so an over-`READ_CHUNK` frame becomes readable within a few
 /// fills.
@@ -334,6 +341,12 @@ impl ReadBuf {
         let n = r.read(&mut self.buf[self.end..])?;
         self.end += n;
         Ok(n)
+    }
+
+    /// Whether the last [`ReadBuf::fill`] left no spare room, i.e. the
+    /// socket may hold more than one read could take.
+    fn is_full(&self) -> bool {
+        self.end == self.buf.len()
     }
 
     /// Consumes and returns the bounds of the next complete frame's
@@ -371,6 +384,7 @@ fn read_loop(mut stream: Stream, conn_id: u64, writer: Arc<ConnWriter>, shared: 
     let mut rbuf = ReadBuf::new();
     let mut bins: Vec<Vec<Job>> = (0..shared.pool.shards()).map(|_| Vec::new()).collect();
     let mut shed = ReplyBuf::new();
+    let mut behind = 0usize;
     'conn: loop {
         // ordering-ok: shutdown latch, pairs with the Release store in
         // `shutdown`.
@@ -381,6 +395,15 @@ fn read_loop(mut stream: Stream, conn_id: u64, writer: Arc<ConnWriter>, shared: 
             Ok(n) => n,
             Err(_) => break, // transport error: nothing to answer
         };
+        // How this cycle defers to a shard before refusing a request
+        // (`ShardPool::offer_cpu`): by yielding, unless the connection
+        // itself is far behind. Deference absorbs a burst; a reader that
+        // keeps finding its socket full is under sustained overload, where
+        // delaying requests further only grows the tail, so it stops
+        // offering and both bounds shed on the counts alone until a read
+        // comes back short.
+        behind = if rbuf.is_full() { behind + 1 } else { 0 };
+        let relax: fn() = if behind < BEHIND_READS { std::thread::yield_now } else { || {} };
         let now = shared.cache.observed_clock();
         let mut frames = 0u64;
         let mut fatal = false;
@@ -389,7 +412,7 @@ fn read_loop(mut stream: Stream, conn_id: u64, writer: Arc<ConnWriter>, shared: 
                 Ok(Some(range)) => {
                     frames += 1;
                     match decode_request_ref(rbuf.slice(range)) {
-                        Ok(req) => route_ref(req, &writer, &shared, &mut bins, &mut shed, now),
+                        Ok(req) => route_ref(req, &writer, &shared, &mut bins, &mut shed, now, relax),
                         Err(_) => {
                             // The payload decoded far enough to be framed
                             // but is malformed; answer with a typed
@@ -416,20 +439,11 @@ fn read_loop(mut stream: Stream, conn_id: u64, writer: Arc<ConnWriter>, shared: 
             shared.stats.frames_per_read.observe(frames);
             emit(EventKind::ConnReadBatch, now, frames, conn_id);
         }
-        // Dispatch every non-empty bin as one batch; the rejected tail
-        // of a full queue sheds with BUSY.
+        // Dispatch every non-empty bin as one batch; what a full queue
+        // still refuses after the executor was offered the CPU sheds
+        // with BUSY.
         for (shard, bin) in bins.iter_mut().enumerate() {
-            if bin.is_empty() {
-                continue;
-            }
-            for job in shared
-                .pool
-                .try_dispatch_batch(shard, std::mem::take(bin), &shared.stats)
-            {
-                ServerStats::bump(&shared.stats.busy_replies);
-                emit(EventKind::RequestShed, now, job.req.id(), shard as u64);
-                shed.push(&Reply::Busy { id: job.req.id() });
-            }
+            dispatch_bin(&shared, shard, bin, &mut shed, now, relax);
         }
         // One locked write for every shed/error reply this cycle.
         let cap_before = shed.capacity();
@@ -445,6 +459,27 @@ fn read_loop(mut stream: Stream, conn_id: u64, writer: Arc<ConnWriter>, shared: 
     shared.conns.lock().remove(&conn_id);
 }
 
+/// Hands `shard` the bin it is owed as one batch and answers the jobs
+/// its queue still refuses ([`ShardPool::dispatch_batch`]) with BUSY.
+fn dispatch_bin(
+    shared: &Shared,
+    shard: usize,
+    bin: &mut Vec<Job>,
+    shed: &mut ReplyBuf,
+    now: sim::Nanos,
+    relax: fn(),
+) {
+    if bin.is_empty() {
+        return;
+    }
+    let batch = std::mem::take(bin);
+    for job in shared.pool.dispatch_batch(shard, batch, &shared.stats, relax) {
+        ServerStats::bump(&shared.stats.busy_replies);
+        emit(EventKind::RequestShed, now, job.req.id(), shard as u64);
+        shed.push(&Reply::Busy { id: job.req.id() });
+    }
+}
+
 /// Routes one borrowed request: shed (zero-copy) or copy it into the
 /// owning shard's bin. The soft-overload check reads the shard's queue
 /// depth *plus* the jobs already binned for it this cycle, so the
@@ -457,6 +492,7 @@ fn route_ref(
     bins: &mut [Vec<Job>],
     shed: &mut ReplyBuf,
     now: sim::Nanos,
+    relax: fn(),
 ) {
     ServerStats::bump(&shared.stats.requests);
     let id = req.id();
@@ -464,16 +500,26 @@ fn route_ref(
     let shard = shared.pool.shard_of(req.key());
     // Soft overload: above the watermark, SETs pass the engine-style
     // admission gate before they may cost a queue slot; GETs always get
-    // the chance to queue.
-    if matches!(req, RequestRef::Set { .. })
-        && shared.pool.depth(shard) + bins[shard].len() >= shared.soft_limit
-        && !shared.set_gate.lock().admit()
-    {
-        ServerStats::bump(&shared.stats.shed_sets);
-        ServerStats::bump(&shared.stats.busy_replies);
-        emit(EventKind::RequestShed, now, id, shard as u64);
-        shed.push(&Reply::Busy { id });
-        return;
+    // the chance to queue. As with the hard bound, the backlog counts
+    // only after the executor was offered the CPU, and where the
+    // un-dispatched bin is what crosses the watermark the shard is
+    // handed that bin first.
+    if matches!(req, RequestRef::Set { .. }) {
+        let depth = shared.pool.depth(shard);
+        if depth + bins[shard].len() >= shared.soft_limit {
+            if depth < shared.soft_limit {
+                dispatch_bin(shared, shard, &mut bins[shard], shed, now, relax);
+            }
+            if shared.pool.offer_cpu(shard, shared.soft_limit, relax) >= shared.soft_limit
+                && !shared.set_gate.lock().admit()
+            {
+                ServerStats::bump(&shared.stats.shed_sets);
+                ServerStats::bump(&shared.stats.busy_replies);
+                emit(EventKind::RequestShed, now, id, shard as u64);
+                shed.push(&Reply::Busy { id });
+                return;
+            }
+        }
     }
     // The dispatch boundary: the one copy out of the read buffer.
     ServerStats::add(&shared.stats.bytes_copied, req.owned_len() as u64);

@@ -22,6 +22,11 @@
 //! up to `queue_capacity - depth` slots and the frontend sheds the
 //! remainder — so the soft-overload watermark and the hard BUSY bound
 //! engage at exactly the same queued-job counts as the unbatched path.
+//! A job leaves the gauge when it has *run*, not when its batch is taken
+//! off the channel, so the gauge reads the backlog: queued or in service.
+//! A full gauge counts as overload only after the executor was offered
+//! the CPU ([`ShardPool::offer_cpu`]): on an oversubscribed host it
+//! may only say this loop has not been scheduled yet.
 //! On the way out, each loop drains every batch its channel holds,
 //! executes the jobs, and coalesces all replies owed to the same
 //! connection into one reusable buffer flushed with a single locked
@@ -71,6 +76,13 @@ fn shard_hash(key: &[u8]) -> u64 {
     }
     h
 }
+
+/// How many times one offer of the CPU yields while the queue stays over
+/// its bound. More than one because on a busy single core a yield hands
+/// the CPU to *some* runnable thread (the client's sender, a neighbour
+/// process), not necessarily to the shard that was just woken; bounded
+/// because every yield pushes the reader's own work another slice out.
+const OFFER_YIELDS: usize = 2;
 
 /// Reserves up to `want` job slots against `depth`'s bound of `cap`
 /// queued jobs, returning how many were granted (possibly zero). One
@@ -142,8 +154,8 @@ impl ShardPool {
         (shard_hash(key) % self.senders.len() as u64) as usize
     }
 
-    /// Current queue depth of `shard` in *jobs* (approximate; used for
-    /// the soft-overload watermark).
+    /// Current backlog of `shard` in *jobs*, queued or in service
+    /// (approximate; used for the soft-overload watermark).
     pub(crate) fn depth(&self, shard: usize) -> usize {
         // relaxed-ok: advisory load for the shedding watermark; an
         // off-by-a-few read only shifts when shedding engages.
@@ -155,16 +167,54 @@ impl ShardPool {
         self.queue_capacity
     }
 
-    /// Enqueues as much of `batch` as the bounded queue has room for —
-    /// one depth-gauge update, one channel send, one consumer wake for
-    /// the whole batch — and returns the rejected tail (empty when
-    /// everything was admitted; the caller sheds the rest with BUSY).
-    pub(crate) fn try_dispatch_batch(
+    /// Offers `shard`'s executor the CPU before a bound refuses anything:
+    /// while `limit` jobs or more are queued or in service, calls `relax`
+    /// (the frontend passes `std::thread::yield_now`), up to
+    /// [`OFFER_YIELDS`] times. Returns the depth it last read.
+    ///
+    /// This is the shedding rule's other half: a backlog counts as
+    /// overload only after the executor was offered the CPU. On an
+    /// oversubscribed host a full gauge may only mean the shard thread
+    /// has not been scheduled since the last batch. With idle cores a
+    /// yield returns at once, and a queue that is full because the engine
+    /// is slow stays full, so real overload is refused as before.
+    pub(crate) fn offer_cpu(&self, shard: usize, limit: usize, mut relax: impl FnMut()) -> usize {
+        let mut depth = self.depth(shard);
+        for _ in 0..OFFER_YIELDS {
+            if depth < limit {
+                break;
+            }
+            relax();
+            depth = self.depth(shard);
+        }
+        depth
+    }
+
+    /// Hands `shard` as much of `batch` as its bounded queue will take and
+    /// returns the tail that is still refused (the caller sheds it with
+    /// BUSY). Before anything is refused the executor is offered the CPU
+    /// once ([`ShardPool::offer_cpu`]) and the reservation retried once:
+    /// the deference is bounded, so a hiccup is absorbed and sustained
+    /// overload is still shed.
+    pub(crate) fn dispatch_batch(
         &self,
         shard: usize,
-        mut batch: Vec<Job>,
+        batch: Vec<Job>,
         stats: &ServerStats,
+        relax: impl FnMut(),
     ) -> Vec<Job> {
+        let refused = self.try_dispatch_batch(shard, batch, stats);
+        if refused.is_empty() || self.offer_cpu(shard, self.queue_capacity, relax) >= self.queue_capacity {
+            return refused;
+        }
+        self.try_dispatch_batch(shard, refused, stats)
+    }
+
+    /// One attempt: enqueues as much of `batch` as the bounded queue has
+    /// room for — one depth-gauge update, one channel send, one consumer
+    /// wake for the whole batch — and returns the rejected tail (empty
+    /// when everything was admitted).
+    fn try_dispatch_batch(&self, shard: usize, mut batch: Vec<Job>, stats: &ServerStats) -> Vec<Job> {
         if batch.is_empty() {
             return batch;
         }
@@ -269,18 +319,12 @@ fn run_shard(
     let mut clock = cache.observed_clock();
     let mut groups = ReplyGroups::new();
     while let Ok(mut batch) = rx.recv() {
-        // relaxed-ok: advisory depth gauge for the shedding watermark.
-        depth.fetch_sub(batch.len(), Ordering::Relaxed);
         // Drain everything else already queued (up to the job bound, so a
         // continuously-refilled queue cannot defer replies forever): the
         // deeper the backlog, the more replies one flush amortizes.
         while batch.len() < queue_capacity {
             match rx.try_recv() {
-                Ok(more) => {
-                    // relaxed-ok: advisory depth gauge, see above.
-                    depth.fetch_sub(more.len(), Ordering::Relaxed);
-                    batch.extend(more);
-                }
+                Ok(more) => batch.extend(more),
                 Err(_) => break,
             }
         }
@@ -332,6 +376,12 @@ fn run_shard(
             };
             emit(EventKind::RequestDone, clock, id, (clock - start).as_nanos());
             groups.buf_for(&conn).push(&reply);
+            // A job leaves the gauge when it has run, not when it is taken
+            // off the channel: the job in service is backlog too, so a
+            // frontend that offered this loop the CPU can tell a queue it
+            // worked off from one it merely moved into its batch.
+            // relaxed-ok: advisory depth gauge for the shedding watermark.
+            depth.fetch_sub(1, Ordering::Relaxed);
         }
         groups.flush_all(&stats, clock);
     }
@@ -339,7 +389,111 @@ fn run_shard(
 
 #[cfg(test)]
 mod tests {
+    use std::os::unix::net::UnixStream;
+
     use super::*;
+    use crate::conn::Stream;
+
+    const CAP: usize = 8;
+
+    /// One shard's queue with no executor thread behind it: the test
+    /// plays the executor through the returned receiver and depth gauge.
+    fn detached_pool() -> (ShardPool, Receiver<Vec<Job>>, Arc<AtomicUsize>) {
+        let (tx, rx) = sync_channel(CAP);
+        let depth = Arc::new(AtomicUsize::new(0));
+        let pool = ShardPool {
+            senders: vec![tx],
+            depths: vec![Arc::clone(&depth)],
+            queue_capacity: CAP,
+            handles: Vec::new(),
+        };
+        (pool, rx, depth)
+    }
+
+    fn jobs(n: u64, stats: &Arc<ServerStats>) -> Vec<Job> {
+        let (sock, _peer) = UnixStream::pair().unwrap();
+        let conn = Arc::new(ConnWriter::new(0, Stream::Unix(sock), Arc::clone(stats)));
+        (0..n).map(|id| Job { req: Request::Get { id, key: vec![b'k'] }, conn: Arc::clone(&conn) }).collect()
+    }
+
+    /// A relax hook that plays the executor getting the CPU: it takes
+    /// everything queued and runs it (as `run_shard` does, a job leaves
+    /// the gauge when it has run).
+    fn run_queued<'a>(
+        rx: &'a Receiver<Vec<Job>>,
+        depth: &'a AtomicUsize,
+        executed: &'a mut Vec<u64>,
+    ) -> impl FnMut() + 'a {
+        move || {
+            for job in rx.try_iter().flatten() {
+                executed.push(job.req.id());
+                depth.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    #[test]
+    fn dispatch_batch_refuses_nothing_the_offered_executor_makes_room_for() {
+        // The oversubscribed-host case: the queue is only full because the
+        // executor has not had the CPU. One offer lets it work the queue
+        // off, and the retry admits what was refused.
+        let (pool, rx, depth) = detached_pool();
+        let stats = Arc::new(ServerStats::default());
+        let mut executed = Vec::new();
+        let hook = run_queued(&rx, &depth, &mut executed);
+        let refused = pool.dispatch_batch(0, jobs(2 * CAP as u64, &stats), &stats, hook);
+        assert!(refused.is_empty(), "{} jobs refused though the yield freed room", refused.len());
+        executed.extend(rx.try_iter().flatten().map(|j| j.req.id()));
+        assert_eq!(executed, (0..2 * CAP as u64).collect::<Vec<_>>(), "jobs lost or reordered");
+        let snap = stats.snapshot();
+        assert_eq!(snap.max_queue_depth, CAP as u64, "the job bound must hold across the retry");
+        assert_eq!((snap.jobs_per_dispatch.events, snap.jobs_per_dispatch.items), (2, 2 * CAP as u64));
+    }
+
+    #[test]
+    fn dispatch_batch_defers_once_then_refuses() {
+        // The deference is bounded: one offer, one retry. A bin of 10x the
+        // bound gets two queues' worth in however fast the executor runs;
+        // the rest comes back in order for the caller to shed, so
+        // sustained overload is still refused.
+        let (pool, rx, depth) = detached_pool();
+        let stats = Arc::new(ServerStats::default());
+        let mut executed = Vec::new();
+        let mut relaxed = 0;
+        let mut run = run_queued(&rx, &depth, &mut executed);
+        let refused = pool.dispatch_batch(0, jobs(10 * CAP as u64, &stats), &stats, || {
+            relaxed += 1;
+            run();
+        });
+        drop(run);
+        assert_eq!(relaxed, 1, "room after the first yield: no further yields");
+        let ids: Vec<u64> = refused.iter().map(|j| j.req.id()).collect();
+        assert_eq!(ids, (2 * CAP as u64..10 * CAP as u64).collect::<Vec<_>>());
+        assert_eq!(executed, (0..CAP as u64).collect::<Vec<_>>());
+        assert_eq!(depth.load(Ordering::Relaxed), CAP);
+    }
+
+    #[test]
+    fn dispatch_batch_returns_the_old_rejected_tail_when_relax_frees_nothing() {
+        // Real overload: the executor was offered the CPU and the queue
+        // is still full. `OFFER_YIELDS` fruitless relaxes, then exactly
+        // what a single `try_dispatch_batch` used to reject comes back,
+        // with the gauge and the dispatch accounting as a single attempt
+        // leaves them; counting the BUSY replies stays the caller's job.
+        let (pool, rx, depth) = detached_pool();
+        let stats = Arc::new(ServerStats::default());
+        let mut relaxed = 0;
+        let refused = pool.dispatch_batch(0, jobs(10 * CAP as u64, &stats), &stats, || relaxed += 1);
+        assert_eq!(relaxed, OFFER_YIELDS, "fruitless yields must stay bounded");
+        let ids: Vec<u64> = refused.iter().map(|j| j.req.id()).collect();
+        assert_eq!(ids, (CAP as u64..10 * CAP as u64).collect::<Vec<_>>());
+        assert_eq!(depth.load(Ordering::Relaxed), CAP);
+        assert_eq!(rx.try_iter().map(|b| b.len()).collect::<Vec<_>>(), [CAP]);
+        let snap = stats.snapshot();
+        assert_eq!((snap.jobs_per_dispatch.events, snap.jobs_per_dispatch.items), (1, CAP as u64));
+        assert_eq!(snap.max_queue_depth, CAP as u64);
+        assert_eq!(snap.busy_replies, 0);
+    }
 
     #[test]
     fn hash_routing_is_stable_and_spread() {

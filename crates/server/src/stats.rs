@@ -159,8 +159,8 @@ pub struct ServerStatsSnapshot {
     pub engine_errors: u64,
     /// Replies that could not be written because the peer disconnected.
     pub dead_replies: u64,
-    /// High-water mark of any shard's command-queue depth (queued jobs,
-    /// not channel operations).
+    /// High-water mark of any shard's command-queue depth (jobs queued
+    /// or in service, not channel operations).
     pub max_queue_depth: u64,
     /// Complete frames decoded per read syscall.
     pub frames_per_read: BatchStatSnapshot,

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate: everything a change must pass before merging.
 #
-#   scripts/tier1.sh            # build + tests + clippy
+#   scripts/tier1.sh            # build + workspace tests + clippy
 #
 # Run from anywhere; the script cd's to the repository root.
 
@@ -11,8 +11,14 @@ cd "$(dirname "$0")/.."
 echo "== tier1: release build =="
 cargo build --release
 
-echo "== tier1: test suite =="
-cargo test -q
+echo "== tier1: test suite (every workspace member) =="
+# --workspace, not the root package alone: the unit tests of sim
+# (checksum equivalence), server (dispatch/shedding) and lsm live in the
+# member crates, and a root-only run let an lsm test rot unnoticed.
+# Under `timeout`: a hung test must fail the gate, not stall it (the
+# whole step takes under a minute warm; the limit leaves room for a
+# cold build).
+timeout 30m cargo test -q --workspace
 
 echo "== tier1: clippy (warnings are errors, pinned allow-list in Cargo.toml) =="
 cargo clippy --workspace --all-targets -- -D warnings
