@@ -45,6 +45,11 @@ for s in $(seq 0 $(( ${FAULT_MATRIX_SEEDS:-1} - 1 ))); do
     --test fault_injection --test zone_death --test recovery
 done
 
+echo "== tier1: churn.* sim cells exact (benchmark, seed 7, 1 s) =="
+# The four sim-clock benchmark rows against BENCH_churn_exact.txt with
+# zero tolerance: a host-cost change must not move one simulated digit.
+scripts/churn_exact.sh
+
 echo "== tier1: multi-thread smoke (all schemes, 8 workers, shared engine) =="
 # Short mixed get/set run on every scheme at 1 and 8 threads. Asserts op
 # conservation, hit/get self-consistency, a thread-count-invariant offered
