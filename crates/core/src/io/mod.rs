@@ -1,5 +1,4 @@
-//! The engine's asynchronous I/O core: submission/completion accounting
-//! over [`sim::aio`].
+//! The engine's asynchronous I/O core: submission/completion accounting.
 //!
 //! Every backend call the engine makes is classified ([`IoClass`]) and
 //! funnels through [`EngineIo`], which keeps submitted/completed counter

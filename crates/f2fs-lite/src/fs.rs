@@ -25,6 +25,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use bytes::BufMut;
+use nand::Payload;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use sim::trace::{self, EventKind};
@@ -424,11 +425,13 @@ impl FileSystem {
     }
 
     /// Appends one block to `log` with the table lock released across
-    /// the device write (see the [module docs](self)).
+    /// the device write (see the [module docs](self)). The block is bytes
+    /// to copy, or a page read by reference (a migration), which the
+    /// device stores without copying.
     fn append_block(
         &self,
         log: LogType,
-        data: &[u8],
+        data: Payload<'_>,
         owner: Owner,
         now: Nanos,
     ) -> Result<(Mba, Nanos), FsError> {
@@ -442,16 +445,17 @@ impl FileSystem {
             // device appends on this head — reservations hand out
             // sequential offsets, and a second writer slipping in between
             // reserve and write would tear the zone's write pointer.
-            match self.dev.write(zone, data, now) {
+            match self.dev_write(zone, data, now) {
                 Ok(done) => return Ok((mba, done)),
                 Err(ZnsError::ZoneDegraded { .. }) => {
                     // The head zone died under the append. Roll back the
                     // reservation, retire the head (its already-written
                     // blocks stay readable if the zone is merely
                     // read-only; the cleaner salvages them), and retry
-                    // on a fresh zone. Terminates: each pass retires one
-                    // zone, and an empty free pool surfaces NoSpace from
-                    // the reserve above.
+                    // the same payload on a fresh zone — a migration
+                    // reuses its page, it does not read the source again.
+                    // Terminates: each pass retires one zone, and an empty
+                    // free pool surfaces NoSpace from the reserve above.
                     let mut inner = self.inner.lock();
                     inner.main.unreserve(log, zone, off);
                     inner.main.retire_head(log, zone);
@@ -465,12 +469,25 @@ impl FileSystem {
         }
     }
 
+    /// The zone and in-zone offset of a main-area block.
+    fn locate(&self, mba: Mba) -> (ZoneId, u64) {
+        let zone = ZoneId((mba.0 as u64 / self.blocks_per_zone) as u32);
+        (zone, mba.0 as u64 % self.blocks_per_zone)
+    }
+
+    /// Writes one block at `zone`'s write pointer, by copy or by reference.
+    fn dev_write(&self, zone: ZoneId, data: Payload<'_>, now: Nanos) -> Result<Nanos, ZnsError> {
+        match data {
+            Payload::Bytes(bytes) => self.dev.write(zone, bytes, now),
+            Payload::Page(page) => self.dev.write_shared(zone, page, now),
+        }
+    }
+
     /// Reads one main-area block without any filesystem lock. Safe for
     /// callers that revalidate the pointer afterwards (content at an
     /// address is immutable until its zone resets).
     fn dev_read_block(&self, mba: Mba, buf: &mut [u8], now: Nanos) -> Result<Nanos, FsError> {
-        let zone = ZoneId((mba.0 as u64 / self.blocks_per_zone) as u32);
-        let off = mba.0 as u64 % self.blocks_per_zone;
+        let (zone, off) = self.locate(mba);
         Ok(self.dev.read(zone, off, buf, now)?)
     }
 
@@ -500,7 +517,8 @@ impl FileSystem {
         let owner = Owner { ino: Ino(ino), index: node_idx, is_node: true };
         // lock-ok: `node_flush` is held across the append on purpose — it
         // is what makes flush-vs-flush races impossible for a node block.
-        let (mba, done) = self.append_block(LogType::Node, &payload, owner, now)?;
+        let (mba, done) =
+            self.append_block(LogType::Node, Payload::Bytes(&payload), owner, now)?;
         // Publish. The file can only have vanished (remove) meanwhile —
         // node_flush excludes competing flushes — so an absent file
         // means the new block is already garbage.
@@ -546,7 +564,8 @@ impl FileSystem {
         };
         // lock-ok: same `node_flush` exclusion as `flush_node` — the
         // migration is a flush and must not race one.
-        let (new_mba, done) = self.append_block(LogType::Node, &payload, owner, now)?;
+        let (new_mba, done) =
+            self.append_block(LogType::Node, Payload::Bytes(&payload), owner, now)?;
         let mut inner = self.inner.lock();
         let Inner { files, main, stats, .. } = &mut *inner;
         let current = files
@@ -567,14 +586,10 @@ impl FileSystem {
 
     /// Migrates one live data block of a victim zone: read and copy
     /// outside the table lock, then publish only if the file still
-    /// points at the old address (otherwise the copy is dropped).
-    fn migrate_data(
-        &self,
-        mba: Mba,
-        owner: Owner,
-        buf: &mut [u8],
-        now: Nanos,
-    ) -> Result<Nanos, FsError> {
+    /// points at the old address (otherwise the copy is dropped). The
+    /// block moves by reference: the device charges the read and the
+    /// program, and the host copies no bytes.
+    fn migrate_data(&self, mba: Mba, owner: Owner, now: Nanos) -> Result<Nanos, FsError> {
         let idx = owner.index as usize;
         {
             let inner = self.inner.lock();
@@ -588,8 +603,10 @@ impl FileSystem {
         }
         // Content at `mba` is immutable until its zone resets, and only
         // this (serialized) cleaner resets zones — unlocked read is safe.
-        let t_read = self.dev_read_block(mba, buf, now)?;
-        let (new_mba, t) = self.append_block(LogType::ColdData, buf, owner, t_read)?;
+        let (zone, off) = self.locate(mba);
+        let (page, t_read) = self.dev.read_shared(zone, off, now)?;
+        let (new_mba, t) =
+            self.append_block(LogType::ColdData, Payload::Page(&page), owner, t_read)?;
         let mut inner = self.inner.lock();
         let Inner { files, main, stats, dirty_nodes, .. } = &mut *inner;
         let still_live = files
@@ -648,18 +665,19 @@ impl FileSystem {
         // explicit: all commands go out at `now`, completions are reaped
         // afterwards.
         let mut io = sim::aio::IoPool::<FsError>::new().handle();
-        let mut buf = vec![0u8; BLOCK_SIZE];
         let mut done = now;
         loop {
             for (mba, owner) in live {
                 if owner.is_node {
                     io.submit(done, |t| self.migrate_node(mba, owner, t));
                 } else {
-                    io.submit(done, |t| self.migrate_data(mba, owner, &mut buf, t));
+                    io.submit(done, |t| self.migrate_data(mba, owner, t));
                 }
             }
+            // One linear reap: `done` is a max, so the order moves no
+            // timestamp. Any error but a dead zone fails the pass.
             let mut victim_died = false;
-            while let Some(reaped) = io.try_complete() {
+            for reaped in io.reap_all() {
                 match reaped {
                     Ok(c) => done = done.max(c.done),
                     Err((_, FsError::DeadZone { .. })) => {
@@ -825,7 +843,7 @@ impl FileSystem {
             };
             let chunk = &data[(i as usize) * BLOCK_SIZE..(i as usize + 1) * BLOCK_SIZE];
             let owner = Owner { ino, index: fbi as u32, is_node: false };
-            let (mba, t) = self.append_block(LogType::HotData, chunk, owner, t0)?;
+            let (mba, t) = self.append_block(LogType::HotData, Payload::Bytes(chunk), owner, t0)?;
             // Publish the new block.
             let flush_due = {
                 let mut inner = self.inner.lock();
@@ -1093,6 +1111,7 @@ impl FileSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim::fault::{FaultInjector, FaultMode, FaultSpec};
 
     fn fs() -> FileSystem {
         FileSystem::format(FsConfig::small_test())
@@ -1419,7 +1438,9 @@ mod tests {
         let ino = fs.create("f", Nanos::ZERO).unwrap();
         let mut t = fs.pwrite(ino, 0, &bytes(1, 1), Nanos::ZERO).unwrap();
         let owner = Owner { ino, index: 0, is_node: false };
-        let (mba, _) = fs.append_block(LogType::HotData, &bytes(1, 2), owner, t).unwrap();
+        let (mba, _) = fs
+            .append_block(LogType::HotData, Payload::Bytes(&bytes(1, 2)), owner, t)
+            .unwrap();
         // Seal the zone behind it, then kill everything else in it.
         for _round in 0..2 {
             for b in 1..=30u64 {
@@ -1455,6 +1476,119 @@ mod tests {
         let mut out = bytes(1, 0);
         fs.pread(ino, 0, &mut out, t).unwrap();
         assert!(out.iter().all(|&x| x == 2), "the in-flight write was lost");
+    }
+
+    /// A filesystem on a fault-injected device whose first hot-data zone
+    /// is sealed with only file blocks `32 - live..32` still valid there
+    /// (block `b` holds the byte `b`): the zone the cleaner picks next.
+    fn fs_with_victim(live: u64) -> (FileSystem, Ino, Arc<FaultInjector>, ZoneId, Nanos) {
+        let config = FsConfig::small_test();
+        let inj = Arc::new(FaultInjector::with_seed(1));
+        let dev = ZnsDevice::new(config.zns.clone()).with_fault_injector(Arc::clone(&inj));
+        let meta = Arc::new(RamDisk::new(config.meta_blocks));
+        let fs = FileSystem::format_on(Arc::new(dev), meta, &config);
+        let ino = fs.create("f", Nanos::ZERO).unwrap();
+        let mut t = Nanos::ZERO;
+        for b in 0..32u64 {
+            t = fs.pwrite(ino, b * BLOCK_SIZE as u64, &bytes(1, b as u8), t).unwrap();
+        }
+        for b in 0..32 - live {
+            t = fs.pwrite(ino, b * BLOCK_SIZE as u64, &bytes(1, 0xff), t).unwrap();
+        }
+        let victim = {
+            let inner = fs.inner.lock();
+            let victim = inner.main.pick_victim().expect("the sealed zone is a victim");
+            assert_eq!(inner.main.zone_valid(victim) as u64, live);
+            victim
+        };
+        (fs, ino, inj, victim, t)
+    }
+
+    /// Reads file block `b` back and checks it holds the byte `b`.
+    fn block_holds_its_index(fs: &FileSystem, ino: Ino, b: u64, t: Nanos) -> Result<(), FsError> {
+        let mut out = bytes(1, 0);
+        fs.pread(ino, b * BLOCK_SIZE as u64, &mut out, t)?;
+        assert!(out.iter().all(|&x| x == b as u8), "block {b} corrupt");
+        Ok(())
+    }
+
+    /// The `skip`+1-th read from now on takes its zone offline.
+    fn kill_on_read(skip: u64) -> FaultSpec {
+        FaultSpec {
+            reads: true,
+            writes: false,
+            trims: false,
+            mode: FaultMode::DegradeOffline,
+            probability: 1.0,
+            skip,
+            count: 1,
+        }
+    }
+
+    #[test]
+    fn victim_that_dies_mid_pass_is_retired_and_the_pass_reports_progress() {
+        let (fs, ino, inj, victim, t) = fs_with_victim(6);
+        // Two blocks move, then the third read takes the victim offline.
+        inj.push(kill_on_read(2));
+        assert!(fs.clean_one(u64::MAX, t).unwrap().is_some(), "a dead victim is progress");
+        let s = fs.stats();
+        assert_eq!((s.gc_data_moved, s.zones_retired, s.zones_cleaned), (2, 1, 0));
+        assert_eq!(fs.dev.zone_state(victim).unwrap(), ZoneState::Offline);
+        // What moved reads back; what did not is stranded on dead media.
+        block_holds_its_index(&fs, ino, 26, t).unwrap();
+        block_holds_its_index(&fs, ino, 27, t).unwrap();
+        assert_eq!(
+            block_holds_its_index(&fs, ino, 28, t),
+            Err(FsError::DeadZone { zone: victim })
+        );
+        assert_ne!(fs.inner.lock().main.pick_victim(), Some(victim), "the cleaner moves on");
+    }
+
+    #[test]
+    fn victim_death_beside_a_destination_error_fails_the_pass_with_that_error() {
+        let (fs, _ino, inj, victim, t) = fs_with_victim(6);
+        // The first block's copy fails on the destination; the second
+        // block's read takes the victim offline.
+        inj.push(FaultSpec::fail_writes(1));
+        inj.push(kill_on_read(1));
+        let err = fs.clean_one(u64::MAX, t).unwrap_err();
+        assert!(
+            matches!(&err, FsError::Device(msg) if msg.contains("zone write fault")),
+            "{err}"
+        );
+        assert_eq!(fs.dev.zone_state(victim).unwrap(), ZoneState::Offline, "both faults fired");
+        let s = fs.stats();
+        assert_eq!((s.gc_data_moved, s.zones_retired, s.zones_cleaned), (0, 0, 0));
+    }
+
+    #[test]
+    fn destination_that_degrades_under_a_migration_is_retried_on_a_fresh_zone() {
+        let (fs, ino, inj, victim, t) = fs_with_victim(6);
+        let reads = fs.dev.stats().host_blocks_read;
+        // The first migration write retires the cold-data head zone.
+        inj.push(FaultSpec::degrade_read_only_writes(1));
+        assert!(fs.clean_one(u64::MAX, t).unwrap().is_some());
+        let s = fs.stats();
+        assert_eq!((s.gc_data_moved, s.zones_retired, s.zones_cleaned), (6, 1, 1));
+        assert_eq!(
+            fs.dev.stats().host_blocks_read - reads,
+            6,
+            "one read per migrated block: the retry reuses the page it read"
+        );
+        let dead: Vec<ZoneId> = fs
+            .dev
+            .report_zones()
+            .into_iter()
+            .filter(|z| z.state == ZoneState::ReadOnly)
+            .map(|z| z.id)
+            .collect();
+        assert_eq!(dead.len(), 1);
+        assert_ne!(dead[0], victim);
+        for b in 26..32u64 {
+            let mba = fs.inner.lock().files[&ino.0].ptrs[b as usize].unwrap();
+            assert_ne!(fs.inner.lock().main.zone_of(mba), dead[0], "block {b} on the dead zone");
+            block_holds_its_index(&fs, ino, b, t).unwrap();
+        }
     }
 
     #[test]

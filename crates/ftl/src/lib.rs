@@ -375,17 +375,18 @@ impl BlockSsd {
                     None => break,
                 },
             };
-            let mut page_buf = vec![0u8; BLOCK_SIZE];
             while scan < self.pages_per_block && budget > 0 {
                 let page = PageAddr(victim.0 * self.pages_per_block as u64 + scan as u64);
                 if let Some(lba) = s.p2l[page.0 as usize] {
-                    // Migrate this valid page.
-                    self.array
-                        .read_page(page, &mut page_buf, now)
+                    // Migrate this valid page by reference: the array
+                    // charges the read and the program, no byte is copied.
+                    let (data, _) = self
+                        .array
+                        .read_page_shared(page, now)
                         .map_err(|e| IoError::Device(e.to_string()))?;
                     let dst = self.alloc_page(s, true)?;
                     self.array
-                        .program_page(dst, &page_buf, now)
+                        .program_page_shared(dst, &data, now)
                         .map_err(|e| IoError::Device(e.to_string()))?;
                     s.p2l[page.0 as usize] = None;
                     s.valid[victim.0 as usize] -= 1;

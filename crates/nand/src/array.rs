@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use sim::{Counter, Nanos};
 
 use crate::geometry::{BlockAddr, Geometry, PageAddr};
-use crate::store::{PageStore, StoreKind};
+use crate::store::{PageStore, Payload, SharedPage, StoreKind};
 use crate::timing::NandTiming;
 
 /// Errors returned by the flash array. Any of these indicates a bug in the
@@ -167,7 +167,7 @@ impl NandArray {
         NandArray {
             geometry: g,
             timing: config.timing,
-            store: config.store.build(),
+            store: config.store.build(&g),
             sched: Mutex::new(Sched {
                 die_busy: vec![Nanos::ZERO; g.total_dies() as usize],
                 die_read_busy: vec![Nanos::ZERO; g.total_dies() as usize],
@@ -225,11 +225,19 @@ impl NandArray {
         self.sched.lock().next_page[block.0 as usize]
     }
 
-    fn check_page(&self, addr: PageAddr) -> Result<(), NandError> {
+    /// The checks every page command makes before it touches any state:
+    /// the address is in the array and the payload is exactly one page.
+    fn check(&self, addr: PageAddr, len: usize) -> Result<(), NandError> {
         if !self.geometry.contains_page(addr) {
             return Err(NandError::OutOfRange {
                 addr: addr.0,
                 limit: self.geometry.total_pages(),
+            });
+        }
+        if len != self.geometry.page_size() {
+            return Err(NandError::BadLength {
+                len,
+                page_size: self.geometry.page_size(),
             });
         }
         Ok(())
@@ -250,13 +258,34 @@ impl NandArray {
         buf: &mut [u8],
         now: Nanos,
     ) -> Result<Nanos, NandError> {
-        self.check_page(addr)?;
-        if buf.len() != self.geometry.page_size() {
-            return Err(NandError::BadLength {
-                len: buf.len(),
-                page_size: self.geometry.page_size(),
-            });
-        }
+        self.check(addr, buf.len())?;
+        let done = self.schedule_read(addr, now);
+        self.store.read(addr, buf);
+        Ok(done)
+    }
+
+    /// Reads one page by reference: the same command as [`Self::read_page`]
+    /// (same checks, same schedule, same counters), but the payload comes
+    /// back as a [`SharedPage`] instead of being copied out. Programming it
+    /// elsewhere with [`Self::program_page_shared`] is a page copy that
+    /// moves no bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`NandError::OutOfRange`].
+    pub fn read_page_shared(
+        &self,
+        addr: PageAddr,
+        now: Nanos,
+    ) -> Result<(SharedPage, Nanos), NandError> {
+        self.check(addr, self.geometry.page_size())?;
+        let done = self.schedule_read(addr, now);
+        Ok((self.store.read_shared(addr), done))
+    }
+
+    /// The one read schedule: charges a page sense and transfer to its die
+    /// and channel and returns the completion time.
+    fn schedule_read(&self, addr: PageAddr, now: Nanos) -> Nanos {
         let block = self.geometry.block_of_page(addr);
         let die = self.geometry.die_of_block(block);
         let chan = self.geometry.channel_of_die(die);
@@ -289,9 +318,8 @@ impl NandArray {
         s.chan_busy[chan as usize] = done;
         drop(s);
 
-        self.store.read(addr, buf);
         self.pages_read.incr();
-        Ok(done)
+        done
     }
 
     /// Programs one page. Pages within a block must be programmed in order.
@@ -307,42 +335,62 @@ impl NandArray {
         data: &[u8],
         now: Nanos,
     ) -> Result<Nanos, NandError> {
-        self.program_inner(addr, data, now, false).map(|(_, done)| done)
+        self.program(addr, Payload::Bytes(data), now, false)
+            .map(|(_, done)| done)
     }
 
-    /// Programs one page as a *queued* command (the zone-append path):
-    /// identical scheduling, but the die records a suspend point at every
-    /// page boundary, so concurrent reads preempt at the cheap
-    /// `program_suspend` fee. Returns `(service_start, done)` — the
-    /// interval the die actually worked on this page — so layers above
-    /// can report per-die service overlap.
+    /// Programs one page by reference: the same command as
+    /// [`Self::program_page`], but the page keeps a reference to `page`
+    /// (typically read with [`Self::read_page_shared`]) instead of a copy.
     ///
     /// # Errors
     ///
     /// As [`Self::program_page`].
-    pub fn program_page_queued(
+    pub fn program_page_shared(
         &self,
         addr: PageAddr,
-        data: &[u8],
+        page: &SharedPage,
         now: Nanos,
-    ) -> Result<(Nanos, Nanos), NandError> {
-        self.program_inner(addr, data, now, true)
+    ) -> Result<Nanos, NandError> {
+        self.program(addr, Payload::Page(page), now, false)
+            .map(|(_, done)| done)
     }
 
-    fn program_inner(
+    /// Programs one page from either kind of payload: the general form of
+    /// [`Self::program_page`] and [`Self::program_page_shared`].
+    ///
+    /// A `queued` program is the zone-append path: identical scheduling,
+    /// but the die records a suspend point at every page boundary, so
+    /// concurrent reads preempt it at the cheap `program_suspend` fee.
+    /// Returns `(service_start, done)` — the interval the die actually
+    /// worked on this page — so layers above can report per-die service
+    /// overlap.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::program_page`].
+    pub fn program(
         &self,
         addr: PageAddr,
-        data: &[u8],
+        payload: Payload<'_>,
         now: Nanos,
         queued: bool,
     ) -> Result<(Nanos, Nanos), NandError> {
-        self.check_page(addr)?;
-        if data.len() != self.geometry.page_size() {
-            return Err(NandError::BadLength {
-                len: data.len(),
-                page_size: self.geometry.page_size(),
-            });
-        }
+        self.check(addr, payload.len())?;
+        let (start, done) = self.schedule_program(addr, now, queued)?;
+        self.store.write(addr, payload);
+        Ok((start, done))
+    }
+
+    /// The one program schedule: enforces program order within the block,
+    /// charges the transfer and the program to the channel and die, and
+    /// returns `(service_start, done)`.
+    fn schedule_program(
+        &self,
+        addr: PageAddr,
+        now: Nanos,
+        queued: bool,
+    ) -> Result<(Nanos, Nanos), NandError> {
         let block = self.geometry.block_of_page(addr);
         let in_block = self.geometry.page_in_block(addr);
         let die = self.geometry.die_of_block(block);
@@ -376,7 +424,6 @@ impl NandArray {
         s.next_page[block.0 as usize] = next + 1;
         drop(s);
 
-        self.store.write(addr, data);
         self.pages_programmed.incr();
         Ok((prog_start, done))
     }
@@ -588,7 +635,7 @@ mod tests {
         // A queued (append-path) burst on die 0: suspend points at every
         // page boundary.
         for p in 0..4 {
-            a.program_page_queued(PageAddr(p), &data, Nanos::ZERO).unwrap();
+            a.program(PageAddr(p), Payload::Bytes(&data), Nanos::ZERO, true).unwrap();
         }
         let mut out = vec![0u8; g.page_size()];
         let t_r = a.read_page(PageAddr(0), &mut out, Nanos::ZERO).unwrap();
@@ -606,14 +653,14 @@ mod tests {
         let g = *a.geometry();
         let data = vec![1u8; g.page_size()];
         let (start, done) = a
-            .program_page_queued(PageAddr(0), &data, Nanos::ZERO)
+            .program(PageAddr(0), Payload::Bytes(&data), Nanos::ZERO, true)
             .unwrap();
         assert_eq!(start, a.timing().bus_transfer, "service starts after transfer");
         assert_eq!(done - start, a.timing().page_program);
         // Identical scheduling to the legacy path: a second queued page on
         // the same die starts when the first finishes.
         let (s2, _) = a
-            .program_page_queued(PageAddr(1), &data, Nanos::ZERO)
+            .program(PageAddr(1), Payload::Bytes(&data), Nanos::ZERO, true)
             .unwrap();
         assert_eq!(s2, done);
     }

@@ -39,5 +39,5 @@ pub mod timing;
 
 pub use array::{NandArray, NandConfig, NandError, NandStatsSnapshot};
 pub use geometry::{BlockAddr, DieId, Geometry, PageAddr};
-pub use store::{PageStore, RamStore, SparseStore, StoreKind};
+pub use store::{PageStore, Payload, RamStore, SharedPage, SparseStore, StoreKind};
 pub use timing::NandTiming;

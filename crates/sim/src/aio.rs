@@ -120,22 +120,13 @@ impl<E> IoHandle<E> {
         self.pending.len()
     }
 
-    /// Reaps the completion with the earliest timestamp, or `None` when
-    /// nothing is in flight. Errors are reaped before successes so a
-    /// failure surfaces on the first poll after it happened.
-    pub fn try_complete(&mut self) -> Option<Result<Completion, (u64, E)>> {
-        if self.pending.is_empty() {
-            return None;
-        }
-        let mut best = 0;
-        for (i, p) in self.pending.iter().enumerate() {
-            match (p, &self.pending[best]) {
-                (Err(_), Ok(_)) => best = i,
-                (Ok(a), Ok(b)) if a.done < b.done => best = i,
-                _ => {}
-            }
-        }
-        Some(self.pending.swap_remove(best))
+    /// Reaps every in-flight submission in one pass, in submission order.
+    /// Completion times are folded with `max`, so the order in which a
+    /// caller reaps moves no timestamp; a linear pass is all it takes.
+    /// Unlike [`Self::complete_all`], each error is handed to the caller,
+    /// which decides which of them fail the batch.
+    pub fn reap_all(&mut self) -> std::vec::Drain<'_, Result<Completion, (u64, E)>> {
+        self.pending.drain(..)
     }
 
     /// Drains every in-flight submission: returns the latest completion
@@ -146,7 +137,7 @@ impl<E> IoHandle<E> {
     pub fn complete_all(&mut self, now: Nanos) -> Result<Nanos, E> {
         let mut done = now;
         let mut first_err = None;
-        for p in self.pending.drain(..) {
+        for p in self.reap_all() {
             match p {
                 Ok(c) => done = done.max(c.done),
                 Err((_, e)) => {
@@ -185,18 +176,23 @@ mod tests {
     }
 
     #[test]
-    fn try_complete_reaps_in_timestamp_order() {
-        let pool: IoPool<()> = IoPool::new();
+    fn reap_all_hands_back_every_submission_in_order() {
+        let pool: IoPool<&'static str> = IoPool::new();
         let mut h = pool.handle();
         let a = h.submit(Nanos(0), |_| Ok(Nanos(300)));
-        let b = h.submit(Nanos(0), |_| Ok(Nanos(100)));
-        let c = h.submit(Nanos(0), |_| Ok(Nanos(200)));
-        let order: Vec<u64> = std::iter::from_fn(|| h.try_complete())
-            .map(|r| r.unwrap().id)
-            .collect();
-        assert_eq!(order, vec![b, c, a]);
+        let b = h.submit(Nanos(0), |_| Err("boom"));
+        let c = h.submit(Nanos(0), |_| Ok(Nanos(100)));
+        let reaped: Vec<_> = h.reap_all().collect();
+        assert_eq!(
+            reaped,
+            vec![
+                Ok(Completion { id: a, done: Nanos(300) }),
+                Err((b, "boom")),
+                Ok(Completion { id: c, done: Nanos(100) }),
+            ]
+        );
         assert_eq!(h.in_flight(), 0);
-        assert!(h.try_complete().is_none());
+        assert_eq!(h.reap_all().count(), 0);
     }
 
     #[test]
@@ -211,21 +207,6 @@ mod tests {
         // The handle is reusable after an error.
         h.submit(Nanos(0), |_| Ok(Nanos(5)));
         assert_eq!(h.complete_all(Nanos(0)), Ok(Nanos(5)));
-    }
-
-    #[test]
-    fn errors_reap_before_successes() {
-        let pool: IoPool<&'static str> = IoPool::new();
-        let mut h = pool.handle();
-        h.submit(Nanos(0), |_| Ok(Nanos(1)));
-        let bad = h.submit(Nanos(0), |_| Err("late"));
-        match h.try_complete() {
-            Some(Err((id, e))) => {
-                assert_eq!(id, bad);
-                assert_eq!(e, "late");
-            }
-            other => panic!("expected the error first, got {other:?}"),
-        }
     }
 
     #[test]

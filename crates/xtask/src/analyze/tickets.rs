@@ -2,7 +2,7 @@
 //! submissions.
 //!
 //! The async core hands out obligations: an `IoHandle::submit` buffers a
-//! completion that must be reaped (`try_complete`/`complete_all`), and a
+//! completion that must be reaped (`reap_all`/`complete_all`), and a
 //! `seal_detach`/`submit_flush` produces `FlushTicket`s that must be
 //! resolved (`resolve_ticket`/`wait_done`). Dropping one on the floor is
 //! the debris/quarantine class of bug PR 7 fixed by hand: device state
@@ -40,7 +40,7 @@ const PRODUCER_FNS: &[&str] = &["seal_detach", "submit_flush"];
 /// Consumer idents: a producer statement that also contains one of these
 /// is self-contained (submit-and-reap loops) and opens nothing.
 const CONSUMERS: &[&str] = &[
-    "try_complete",
+    "reap_all",
     "complete_all",
     "resolve_ticket",
     "wait_done",
@@ -289,7 +289,7 @@ mod tests {
         let src = "impl Fs {\n    fn pump(&mut self) -> Result<(), E> {\n        \
                    while self.more() {\n            \
                    self.io.submit(now, op);\n            \
-                   self.io.try_complete();\n        }\n        \
+                   self.io.reap_all();\n        }\n        \
                    self.sync()?;\n        Ok(())\n    }\n}\n";
         let v = run("crates/f2fs-lite/src/fs.rs", src);
         assert!(v.is_empty(), "{v:?}");

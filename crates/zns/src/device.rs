@@ -4,7 +4,7 @@ use core::fmt;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use nand::{NandArray, NandConfig};
+use nand::{NandArray, NandConfig, NandError, PageAddr, Payload, SharedPage};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use sim::fault::{flip_bit, FaultInjector, FaultOp, Injection};
@@ -567,11 +567,34 @@ impl ZnsDevice {
     /// [`ZnsError::Misaligned`], [`ZnsError::InvalidState`] (full zone),
     /// [`ZnsError::ZoneBoundary`], [`ZnsError::TooManyActiveZones`].
     pub fn write(&self, zone: ZoneId, data: &[u8], now: Nanos) -> Result<Nanos, ZnsError> {
+        self.write_at_wp(zone, Payload::Bytes(data), now)
+    }
+
+    /// Writes one block at the zone's write pointer by reference: the same
+    /// command as [`Self::write`] (same checks, fault decision, schedule
+    /// and counters), but the flash page keeps a reference to `page`
+    /// instead of a copy. With [`Self::read_shared`] this is a block copy
+    /// that moves no bytes. An injected bit flip stores a corrupted private
+    /// copy and leaves `page` as it was.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::write`].
+    pub fn write_shared(
+        &self,
+        zone: ZoneId,
+        page: &SharedPage,
+        now: Nanos,
+    ) -> Result<Nanos, ZnsError> {
+        self.write_at_wp(zone, Payload::Page(page), now)
+    }
+
+    fn write_at_wp(&self, zone: ZoneId, payload: Payload<'_>, now: Nanos) -> Result<Nanos, ZnsError> {
         let wp = {
             self.check_zone(zone)?;
             self.state.lock().zones[zone.0 as usize].wp
         };
-        self.write_at(zone, wp, data, now)
+        self.write_at_inner(zone, wp, payload, now, false, None)
     }
 
     /// Writes `data` at an explicit zone offset, which must equal the write
@@ -590,23 +613,26 @@ impl ZnsDevice {
         // A positioned write is a monolithic burst: the controller cannot
         // suspend it at page granularity, so reads landing on its dies pay
         // the full `read_suspend` fee (queued = false).
-        self.write_at_inner(zone, offset_blocks, data, now, false, None)
+        self.write_at_inner(zone, offset_blocks, Payload::Bytes(data), now, false, None)
     }
 
+    /// The one write path of every write and append command, whatever the
+    /// payload: protocol checks, the fault decision, the write-pointer and
+    /// state-machine update, the page programs and the host counter.
     fn write_at_inner(
         &self,
         zone: ZoneId,
         offset_blocks: u64,
-        data: &[u8],
+        payload: Payload<'_>,
         now: Nanos,
         queued: bool,
         mut service: Option<&mut Vec<DieService>>,
     ) -> Result<Nanos, ZnsError> {
         self.check_zone(zone)?;
-        if data.is_empty() || !data.len().is_multiple_of(BLOCK_SIZE) {
-            return Err(ZnsError::Misaligned { len: data.len() });
+        if payload.is_empty() || !payload.len().is_multiple_of(BLOCK_SIZE) {
+            return Err(ZnsError::Misaligned { len: payload.len() });
         }
-        let nblocks = (data.len() / BLOCK_SIZE) as u64;
+        let nblocks = (payload.len() / BLOCK_SIZE) as u64;
 
         let start_offset;
         // Injected faults fire only after every protocol check passes:
@@ -646,7 +672,7 @@ impl ZnsDevice {
                     attempted: nblocks,
                 });
             }
-            injection = self.decide(FaultOp::Write, data.len(), now);
+            injection = self.decide(FaultOp::Write, payload.len(), now);
             match injection {
                 Injection::Fail => {
                     return Err(ZnsError::Injected(format!(
@@ -692,14 +718,16 @@ impl ZnsDevice {
             self.debug_validate(&state);
         }
 
+        // A bit flip corrupts a private copy; a shared source page stays
+        // clean for everyone else holding it.
         let mut corrupted;
         let payload = match injection {
             Injection::BitFlip { bit } => {
-                corrupted = data.to_vec();
+                corrupted = payload.bytes().to_vec();
                 flip_bit(&mut corrupted, bit);
-                &corrupted[..]
+                Payload::Bytes(&corrupted)
             }
-            _ => data,
+            _ => payload,
         };
 
         // Program the pages; completion is the slowest page. Queued
@@ -708,18 +736,10 @@ impl ZnsDevice {
         let mut done = now;
         for i in 0..persist_blocks {
             let page = self.layout.page_of(zone, start_offset + i);
-            let chunk = &payload[(i as usize) * BLOCK_SIZE..(i as usize + 1) * BLOCK_SIZE];
-            let (start, t) = if queued {
-                self.array
-                    .program_page_queued(page, chunk, now)
-                    .map_err(|e| ZnsError::Nand(e.to_string()))?
-            } else {
-                let t = self
-                    .array
-                    .program_page(page, chunk, now)
-                    .map_err(|e| ZnsError::Nand(e.to_string()))?;
-                (now, t)
-            };
+            let (start, t) = self
+                .array
+                .program(page, payload.block(i as usize, BLOCK_SIZE), now, queued)
+                .map_err(nand_error)?;
             done = done.max(t);
             if let Some(service) = service.as_deref_mut() {
                 let g = self.array.geometry();
@@ -763,7 +783,7 @@ impl ZnsDevice {
         // Appends are issued as queued page programs: the controller can
         // suspend them at every page boundary, so reads on the same dies
         // pay the cheap `program_suspend` fee instead of `read_suspend`.
-        let done = self.write_at_inner(zone, wp, data, now, true, None)?;
+        let done = self.write_at_inner(zone, wp, Payload::Bytes(data), now, true, None)?;
         Ok((wp, done))
     }
 
@@ -783,7 +803,8 @@ impl ZnsDevice {
         self.check_zone(zone)?;
         let wp = self.state.lock().zones[zone.0 as usize].wp;
         let mut service = Vec::new();
-        let done = self.write_at_inner(zone, wp, data, now, true, Some(&mut service))?;
+        let done =
+            self.write_at_inner(zone, wp, Payload::Bytes(data), now, true, Some(&mut service))?;
         Ok((wp, done, service))
     }
 
@@ -800,11 +821,64 @@ impl ZnsDevice {
         buf: &mut [u8],
         now: Nanos,
     ) -> Result<Nanos, ZnsError> {
-        self.check_zone(zone)?;
-        if buf.is_empty() || !buf.len().is_multiple_of(BLOCK_SIZE) {
-            return Err(ZnsError::Misaligned { len: buf.len() });
+        let (done, flip) = self.read_blocks(zone, offset_blocks, buf.len(), now, |i, page| {
+            let chunk = &mut buf[i * BLOCK_SIZE..(i + 1) * BLOCK_SIZE];
+            self.array.read_page(page, chunk, now)
+        })?;
+        if let Some(bit) = flip {
+            // Media kept the data; the host's copy comes back corrupted.
+            flip_bit(buf, bit);
         }
-        let nblocks = (buf.len() / BLOCK_SIZE) as u64;
+        Ok(done)
+    }
+
+    /// Reads one block by reference: the same command as a one-block
+    /// [`Self::read`] (same checks, fault decision, schedule and counters),
+    /// but the block comes back as a [`SharedPage`] instead of being copied
+    /// out. An injected bit flip corrupts only the returned page, a private
+    /// copy; the media keeps the data.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::read`].
+    pub fn read_shared(
+        &self,
+        zone: ZoneId,
+        offset_blocks: u64,
+        now: Nanos,
+    ) -> Result<(SharedPage, Nanos), ZnsError> {
+        let mut shared = None;
+        let (done, flip) = self.read_blocks(zone, offset_blocks, BLOCK_SIZE, now, |_, page| {
+            let (read, t) = self.array.read_page_shared(page, now)?;
+            shared = Some(read);
+            Ok(t)
+        })?;
+        let mut page = shared.expect("a one-block read reads one page");
+        if let Some(bit) = flip {
+            let mut corrupted = page.to_vec();
+            flip_bit(&mut corrupted, bit);
+            page = SharedPage::from(corrupted);
+        }
+        Ok((page, done))
+    }
+
+    /// The one read path of both read commands: protocol checks, the fault
+    /// decision, one `read_page` call per block in order, and the host
+    /// counter. Returns the completion time and the bit an injected flip
+    /// asks the caller to corrupt in the host's copy.
+    fn read_blocks(
+        &self,
+        zone: ZoneId,
+        offset_blocks: u64,
+        len: usize,
+        now: Nanos,
+        mut read_page: impl FnMut(usize, PageAddr) -> Result<Nanos, NandError>,
+    ) -> Result<(Nanos, Option<u64>), ZnsError> {
+        self.check_zone(zone)?;
+        if len == 0 || !len.is_multiple_of(BLOCK_SIZE) {
+            return Err(ZnsError::Misaligned { len });
+        }
+        let nblocks = (len / BLOCK_SIZE) as u64;
         {
             let state = self.state.lock();
             let meta = state.zones[zone.0 as usize];
@@ -824,8 +898,7 @@ impl ZnsDevice {
                 });
             }
         }
-        let injection = self.decide(FaultOp::Read, buf.len(), now);
-        match injection {
+        let flip = match self.decide(FaultOp::Read, len, now) {
             Injection::Fail | Injection::Torn { .. } => {
                 return Err(ZnsError::Injected(format!(
                     "zone read fault at {zone} offset {offset_blocks}"
@@ -842,24 +915,16 @@ impl ZnsDevice {
                 let mut state = self.state.lock();
                 return Err(self.degrade_error(&mut state, zone, true, now));
             }
-            Injection::None | Injection::BitFlip { .. } => {}
-        }
+            Injection::BitFlip { bit } => Some(bit),
+            Injection::None => None,
+        };
         let mut done = now;
         for i in 0..nblocks {
             let page = self.layout.page_of(zone, offset_blocks + i);
-            let chunk = &mut buf[(i as usize) * BLOCK_SIZE..(i as usize + 1) * BLOCK_SIZE];
-            let t = self
-                .array
-                .read_page(page, chunk, now)
-                .map_err(|e| ZnsError::Nand(e.to_string()))?;
-            done = done.max(t);
-        }
-        if let Injection::BitFlip { bit } = injection {
-            // Media kept the data; the host's copy comes back corrupted.
-            flip_bit(buf, bit);
+            done = done.max(read_page(i as usize, page).map_err(nand_error)?);
         }
         self.host_blocks_read.add(nblocks);
-        Ok(done)
+        Ok((done, flip))
     }
 
     /// Resets a zone: erases its blocks, rewinds the pointer, state Empty.
@@ -903,10 +968,7 @@ impl ZnsDevice {
         }
         let mut done = now;
         for block in self.layout.blocks_of(zone) {
-            let t = self
-                .array
-                .erase_block(block, now)
-                .map_err(|e| ZnsError::Nand(e.to_string()))?;
+            let t = self.array.erase_block(block, now).map_err(nand_error)?;
             done = done.max(t);
         }
         self.zone_resets.incr();
@@ -989,6 +1051,12 @@ impl ZnsDevice {
         self.debug_validate(&state);
         Ok(())
     }
+}
+
+/// A flash error under a zone command: a bug in the zone layer above the
+/// array, surfaced as a typed device error.
+fn nand_error(e: NandError) -> ZnsError {
+    ZnsError::Nand(e.to_string())
 }
 
 #[cfg(test)]
@@ -1259,6 +1327,117 @@ mod tests {
         d.read(ZoneId(0), 0, &mut buf, Nanos::ZERO).unwrap();
         let wrong = buf.iter().filter(|&&b| b != 0xaa).count();
         assert_eq!(wrong, 1, "exactly one byte should differ");
+    }
+
+    #[test]
+    fn shared_read_bit_flip_corrupts_only_the_returned_page() {
+        let inj = Arc::new(FaultInjector::with_seed(3));
+        let d = dev().with_fault_injector(Arc::clone(&inj));
+        d.write(ZoneId(0), &blocks(1, 0xaa), Nanos::ZERO).unwrap();
+        inj.push(sim::fault::FaultSpec::corrupt_reads(1));
+        let (page, _) = d.read_shared(ZoneId(0), 0, Nanos::ZERO).unwrap();
+        assert_eq!(page.iter().filter(|&&b| b != 0xaa).count(), 1);
+        assert_eq!(inj.injected(), 1);
+        // The media kept the data: the source reads back clean either way.
+        let (again, _) = d.read_shared(ZoneId(0), 0, Nanos::ZERO).unwrap();
+        assert!(again.iter().all(|&b| b == 0xaa));
+        let mut buf = blocks(1, 0);
+        d.read(ZoneId(0), 0, &mut buf, Nanos::ZERO).unwrap();
+        assert!(buf.iter().all(|&b| b == 0xaa));
+    }
+
+    #[test]
+    fn shared_write_bit_flip_stores_a_corrupted_copy_and_leaves_the_source_clean() {
+        let inj = Arc::new(FaultInjector::with_seed(9));
+        let d = dev().with_fault_injector(Arc::clone(&inj));
+        d.write(ZoneId(0), &blocks(1, 0x5a), Nanos::ZERO).unwrap();
+        let (page, t) = d.read_shared(ZoneId(0), 0, Nanos::ZERO).unwrap();
+        inj.push(sim::fault::FaultSpec::corrupt_writes(1));
+        // The write itself succeeds — silent corruption.
+        d.write_shared(ZoneId(1), &page, t).unwrap();
+        assert!(page.iter().all(|&b| b == 0x5a), "the shared source page changed");
+        let mut buf = blocks(1, 0);
+        d.read(ZoneId(1), 0, &mut buf, t).unwrap();
+        assert_eq!(buf.iter().filter(|&&b| b != 0x5a).count(), 1);
+        d.read(ZoneId(0), 0, &mut buf, t).unwrap();
+        assert!(buf.iter().all(|&b| b == 0x5a), "the source block changed");
+    }
+
+    /// Everything one read and one write of a one-block copy leave behind
+    /// under a fault shape, by value or by reference: each command's
+    /// outcome and the fault credits spent so far, then the zones, the
+    /// counters, and what the destination holds.
+    type CopyOutcome = (
+        Result<(Vec<u8>, Nanos), ZnsError>,
+        u64,
+        Result<Nanos, ZnsError>,
+        u64,
+        Vec<ZoneInfo>,
+        ZnsStatsSnapshot,
+        Option<Vec<u8>>,
+    );
+
+    fn copy_under_fault(mode: sim::fault::FaultMode, shared: bool) -> CopyOutcome {
+        let inj = Arc::new(FaultInjector::with_seed(5));
+        let d = dev().with_fault_injector(Arc::clone(&inj));
+        let src = blocks(1, 0x11);
+        let t = d.write(ZoneId(0), &src, Nanos::ZERO).unwrap();
+        // Two credits armed, so a command that consulted the plan twice
+        // would show it.
+        let arm = |reads: bool| {
+            inj.clear();
+            inj.push(sim::fault::FaultSpec {
+                reads,
+                writes: !reads,
+                trims: false,
+                mode,
+                probability: 1.0,
+                skip: 0,
+                count: 2,
+            });
+        };
+        arm(true);
+        let read = if shared {
+            d.read_shared(ZoneId(0), 0, t).map(|(page, t)| (page.to_vec(), t))
+        } else {
+            let mut buf = blocks(1, 0);
+            d.read(ZoneId(0), 0, &mut buf, t).map(|t| (buf, t))
+        };
+        let read_credits = inj.injected();
+        arm(false);
+        let page = SharedPage::from(src.clone());
+        let write = if shared {
+            d.write_shared(ZoneId(1), &page, t)
+        } else {
+            d.write(ZoneId(1), &src, t)
+        };
+        assert_eq!(&*page, &src[..], "a shared source is never written through");
+        let credits = inj.injected();
+        inj.clear();
+        let landed = (d.zone_info(ZoneId(1)).unwrap().write_pointer > 0).then(|| {
+            let mut buf = blocks(1, 0);
+            d.read(ZoneId(1), 0, &mut buf, t).unwrap();
+            buf
+        });
+        (read, read_credits, write, credits, d.report_zones(), d.stats(), landed)
+    }
+
+    #[test]
+    fn shared_commands_fail_tear_and_degrade_like_their_copying_twins() {
+        use sim::fault::FaultMode;
+        for mode in [
+            FaultMode::Fail,
+            FaultMode::Torn { fraction: 0.5 },
+            FaultMode::BitFlip,
+            FaultMode::DegradeReadOnly,
+            FaultMode::DegradeOffline,
+        ] {
+            let by_value = copy_under_fault(mode, false);
+            let by_ref = copy_under_fault(mode, true);
+            assert_eq!(by_value.1, 1, "{mode:?}: the read took one credit");
+            assert_eq!(by_value.3, 2, "{mode:?}: the write took one credit");
+            assert!(by_value == by_ref, "{mode:?}: {by_value:?} != {by_ref:?}");
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Randomized property tests over the core invariants: the cache behaves
 //! like a map (modulo evictions), the zoned device enforces its contract
-//! under arbitrary op streams, the FTL never loses acknowledged writes, and
-//! the filesystem is read-your-writes under random I/O.
+//! under arbitrary op streams, the FTL never loses acknowledged writes, the
+//! filesystem is read-your-writes under random I/O, and a flash page copied
+//! by reference is indistinguishable from one copied through a buffer.
 //!
 //! Each property runs against a battery of seeded random op streams (the
 //! offline toolchain has no proptest, so shrinking is replaced by printing
@@ -14,6 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use zns_cache_repro::f2fs_lite::{FileSystem, FsConfig};
 use zns_cache_repro::ftl::{BlockSsd, FtlConfig};
+use zns_cache_repro::nand::{BlockAddr, NandArray, NandConfig, PageAddr, Payload};
 use zns_cache_repro::sim::{BlockDevice, Lba, Nanos, BLOCK_SIZE};
 use zns_cache_repro::zns::{ZnsConfig, ZnsDevice, ZoneId};
 use zns_cache_repro::zns_cache::backend::{MiddleConfig, MiddleLayerBackend};
@@ -286,5 +288,134 @@ fn f2fs_read_your_writes() {
                 "seed {seed}: block {block} corrupt"
             );
         }
+    }
+}
+
+/// What a page is expected to hold: its bytes, and the id of the buffer
+/// that holds them in the array that copies by reference.
+type PageModel = Option<(Arc<Vec<u8>>, u64)>;
+
+/// Two flash arrays driven by the same random programs (queued and not),
+/// reads, erases and page copies agree in everything the model charges:
+/// one copies pages through a host buffer (`read_page` + `program_page`),
+/// the other by reference (`read_page_shared` + `program_page_shared`).
+/// Every returned time and every counter is equal, every read returns the
+/// same bytes, erasing or reprogramming a copy's source never changes its
+/// destination, and a buffer shared by several pages is resident once.
+#[test]
+fn nand_copies_by_reference_match_copies_by_value() {
+    for seed in SEEDS {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let by_copy = NandArray::new(NandConfig::small_test());
+        let by_ref = NandArray::new(NandConfig::small_test());
+        let g = *by_copy.geometry();
+        let ppb = g.pages_per_block as u64;
+        let mut model: Vec<PageModel> = vec![None; g.total_pages() as usize];
+        let mut copies: Vec<(u64, u64)> = Vec::new();
+        let mut copied = 0;
+        let mut next_id = 0u64;
+        let mut t = Nanos::ZERO;
+
+        // Reads one page from both arrays (by reference on request) and
+        // checks them against each other and the model.
+        let check = |addr: u64, shared: bool, t: Nanos, model: &[PageModel]| {
+            let mut buf = vec![0u8; BLOCK_SIZE];
+            let ta = by_copy.read_page(PageAddr(addr), &mut buf, t).unwrap();
+            let (got, tb) = if shared {
+                let (page, tb) = by_ref.read_page_shared(PageAddr(addr), t).unwrap();
+                (page.to_vec(), tb)
+            } else {
+                let mut got = vec![0u8; BLOCK_SIZE];
+                let tb = by_ref.read_page(PageAddr(addr), &mut got, t).unwrap();
+                (got, tb)
+            };
+            assert_eq!(ta, tb, "seed {seed}: read of page {addr} timed differently");
+            let want = model[addr as usize]
+                .as_ref()
+                .map_or_else(|| vec![0u8; BLOCK_SIZE], |(bytes, _)| bytes.to_vec());
+            assert!(buf == want && got == want, "seed {seed}: page {addr} holds the wrong bytes");
+        };
+
+        for _ in 0..400 {
+            t = Nanos(t.0 + rng.gen_range(0..50_000u64));
+            let block = rng.gen_range(0..g.total_blocks());
+            let wp = by_copy.write_pointer(BlockAddr(block)) as u64;
+            assert_eq!(wp, by_ref.write_pointer(BlockAddr(block)) as u64);
+            match rng.gen_range(0..20u32) {
+                // Host program, queued or not.
+                0..=7 if wp < ppb => {
+                    let addr = block * ppb + wp;
+                    let tag = rng.gen_range(0..u64::MAX);
+                    let data: Vec<u8> =
+                        (0..BLOCK_SIZE).map(|i| (tag >> (i % 8 * 8)) as u8 ^ i as u8).collect();
+                    let queued = rng.gen_bool(0.3);
+                    let ta = by_copy.program(PageAddr(addr), Payload::Bytes(&data), t, queued);
+                    let tb = by_ref.program(PageAddr(addr), Payload::Bytes(&data), t, queued);
+                    assert_eq!(ta, tb, "seed {seed}: program of page {addr} diverged");
+                    model[addr as usize] = Some((Arc::new(data), next_id));
+                    next_id += 1;
+                    // Reprogramming a copy's source leaves the copy alone.
+                    for &(src, dst) in &copies {
+                        if src == addr {
+                            check(dst, false, t, &model);
+                        }
+                    }
+                }
+                // Page copy from a written page into this block.
+                8..=12 if wp < ppb => {
+                    let written: Vec<u64> =
+                        (0..g.total_pages()).filter(|&p| model[p as usize].is_some()).collect();
+                    if written.is_empty() {
+                        continue;
+                    }
+                    let src = written[rng.gen_range(0..written.len())];
+                    let dst = block * ppb + wp;
+                    let mut buf = vec![0u8; BLOCK_SIZE];
+                    let ra = by_copy.read_page(PageAddr(src), &mut buf, t).unwrap();
+                    let pa = by_copy.program_page(PageAddr(dst), &buf, t).unwrap();
+                    let (page, rb) = by_ref.read_page_shared(PageAddr(src), t).unwrap();
+                    let pb = by_ref.program_page_shared(PageAddr(dst), &page, t).unwrap();
+                    assert_eq!((ra, pa), (rb, pb), "seed {seed}: copy {src} -> {dst} diverged");
+                    model[dst as usize] = model[src as usize].clone();
+                    copies.push((src, dst));
+                    copied += 1;
+                }
+                // Erase; the copies of its pages that live elsewhere survive.
+                13..=15 => {
+                    let ta = by_copy.erase_block(BlockAddr(block), t);
+                    let tb = by_ref.erase_block(BlockAddr(block), t);
+                    assert_eq!(ta, tb, "seed {seed}: erase of block {block} diverged");
+                    for p in block * ppb..(block + 1) * ppb {
+                        model[p as usize] = None;
+                    }
+                    let in_block = |p: u64| p / ppb == block;
+                    for &(src, dst) in &copies {
+                        if in_block(src) && !in_block(dst) {
+                            check(dst, rng.gen_bool(0.5), t, &model);
+                        }
+                    }
+                    copies.retain(|&(src, dst)| !in_block(src) && !in_block(dst));
+                }
+                // Read, by value or by reference.
+                _ => {
+                    let addr = rng.gen_range(0..g.total_pages());
+                    check(addr, rng.gen_bool(0.5), t, &model);
+                }
+            }
+            assert_eq!(by_copy.stats(), by_ref.stats(), "seed {seed}: counters diverged");
+            let live = model.iter().flatten().count() as u64;
+            let buffers: std::collections::HashSet<u64> =
+                model.iter().flatten().map(|(_, id)| *id).collect();
+            assert_eq!(by_copy.resident_bytes(), live * BLOCK_SIZE as u64);
+            assert_eq!(
+                by_ref.resident_bytes(),
+                buffers.len() as u64 * BLOCK_SIZE as u64,
+                "seed {seed}: a shared buffer was not counted exactly once"
+            );
+        }
+        for addr in 0..g.total_pages() {
+            check(addr, addr % 2 == 0, t, &model);
+        }
+        assert!(copied >= 20, "seed {seed}: only {copied} copies exercised");
     }
 }
